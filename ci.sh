@@ -36,7 +36,21 @@ push)
     cargo test -q --workspace
 
     echo "== repro all --scale 128 (quick-scale end-to-end) =="
-    ./target/release/repro all --scale 128 --json --out ci-out
+    mkdir -p ci-out
+    ./target/release/repro all --scale 128 --json --out ci-out | tee ci-out/repro-all.txt
+
+    echo "== repro all stdout digest (simulated output must not drift) =="
+    # Strip the three host-dependent line kinds (the platform line's sweep
+    # thread count, per-experiment wall time, artefact paths); everything
+    # left is simulated output and must hash to the checked-in digest. A
+    # deliberate output change updates the digest file in the same commit.
+    want=$(cat tests/golden/repro_all_scale128.sha256)
+    got=$(grep -vE '^# platform: .*sweep threads = [0-9]+$|^  \[[A-Za-z0-9_]+ regenerated in [0-9.]+s\]$|^  wrote ' \
+        ci-out/repro-all.txt | sha256sum | cut -d' ' -f1)
+    if [ "$got" != "$want" ]; then
+        echo "repro all --scale 128 stdout digest $got != checked-in $want" >&2
+        exit 1
+    fi
 
     echo "== repro fig1 --scale 128 --retry-crosscheck (scan vs event-driven equivalence) =="
     # Runs the event-driven replay bookkeeping and the reference rescan
