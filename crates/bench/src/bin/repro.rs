@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! repro <experiment> [--scale <denominator>] [--out <dir>] [--json] [--threads <n>]
-//!                    [--service-workers <n>] [--trace-out <file>] [--trace-cap <events>]
+//!                    [--trace-out <file>] [--trace-cap <events>]
 //!                    [--metrics-out <dir>] [--metrics-interval <sim-ns>]
 //!                    [--retry-crosscheck] [--progress|--no-progress]
 //! repro all
 //! repro list
 //! repro oversub [--grid small|full] [--scale <den>] [--out <dir>] [--json]
-//!               [--threads <n>] [--service-workers <n>] [--metrics-out <dir>]
+//!               [--threads <n>] [--metrics-out <dir>]
 //!               [--metrics-interval <sim-ns>] [--progress|--no-progress]
 //! repro oversub --check <dir>
 //! repro check-trace <file>
@@ -21,7 +21,7 @@
 //! repro check-metrics <metrics-dir>
 //! repro trend-import <trend-file> <bench-json> <experiment> [as-name]
 //! repro serve --socket <path> [--http <addr>] [--out <dir>] [--scale <den>]
-//!             [--threads <n>] [--service-workers <n>] [--cache <entries>]
+//!             [--threads <n>] [--cache <entries>]
 //! repro serve --check <socket>
 //! repro submit <socket> <experiment> [--scale <den>] [--ndjson]
 //! repro submit <socket> --shutdown
@@ -52,7 +52,7 @@
 //! per sweep point plus `metrics.prom`, a Prometheus text exposition of
 //! the end-of-run totals labelled by workload/ratio/policy. Sampling is
 //! driven by the virtual clock, so the streams are bit-identical for any
-//! `--threads`/`--service-workers` value. `repro report <dir>` re-renders
+//! `--threads` value. `repro report <dir>` re-renders
 //! the CSVs as per-run cost decompositions (Figs. 8–10 shapes);
 //! `repro check-metrics <dir>` re-validates every artefact. `repro
 //! regress <trend-file>` compares the newest `ci_trend` entry of each
@@ -94,7 +94,7 @@
 //! byte-identical, recomputed cliffs must match the recorded rows, and
 //! the re-derived exposition must match `oversub.prom` — exiting 1 on
 //! any drift. Like every sweep, the artefacts are bit-identical for
-//! any `--threads`/`--service-workers` value.
+//! any `--threads` value.
 //!
 //! `repro lineage <metrics-dir>` re-renders the fault-lineage event
 //! streams (`*.lineage`, written whenever `--metrics-out` is armed) as
@@ -131,13 +131,8 @@
 //! `--scale N` sets GPU memory to 12 GB / N (default 16). CSV artifacts
 //! (the scatter data behind Figures 7 and 8) are written to `--out`
 //! (default `./repro-out`). `--threads N` sizes the rayon pool running
-//! the sweeps; results are deterministic and identical for every N.
-//! `--service-workers N` pins the intra-batch planning width inside each
-//! simulation point (default: auto, resolved to the rayon pool size
-//! before any sweep runs so the recorded telemetry is explicit);
-//! simulated output — stdout, tables, traces — is bit-identical for
-//! every value, and the per-phase wall-time split plus the sweep
-//! scheduler's queue/steal stats land in `BENCH_hotpaths.json`.
+//! the sweeps; results are deterministic and identical for every N, and
+//! the sweep scheduler's queue/steal stats land in `BENCH_hotpaths.json`.
 //! `--retry-crosscheck` runs every point with the engine's event-driven
 //! replay bookkeeping *and* the reference rescan side by side, asserting
 //! at each skip opportunity that the closed form reproduces the scan's
@@ -170,11 +165,11 @@ fn status(msg: &str) {
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all|list> [--scale <denominator>] [--out <dir>] \
-         [--json] [--threads <n>] [--service-workers <n>] [--trace-out <file>] \
+         [--json] [--threads <n>] [--trace-out <file>] \
          [--trace-cap <events>] [--metrics-out <dir>] [--metrics-interval <sim-ns>] \
          [--retry-crosscheck] [--progress|--no-progress]\n\
          \x20      repro oversub [--grid small|full] [--scale <den>] [--out <dir>] [--json] \
-         [--threads <n>] [--service-workers <n>] [--metrics-out <dir>]\n\
+         [--threads <n>] [--metrics-out <dir>]\n\
          \x20      repro oversub --check <dir>\n\
          \x20      repro check-trace <file>\n\
          \x20      repro bench-append <file> <name> <wall_seconds>\n\
@@ -186,7 +181,7 @@ fn usage() -> ! {
          \x20      repro check-metrics <metrics-dir>\n\
          \x20      repro trend-import <trend-file> <bench-json> <experiment> [as-name]\n\
          \x20      repro serve --socket <path> [--http <addr>] [--out <dir>] [--scale <den>] \
-         [--threads <n>] [--service-workers <n>] [--cache <entries>]\n\
+         [--threads <n>] [--cache <entries>]\n\
          \x20      repro serve --check <socket>\n\
          \x20      repro submit <socket> <experiment> [--scale <den>] [--ndjson]\n\
          \x20      repro submit <socket> --shutdown"
@@ -760,7 +755,6 @@ fn cmd_serve(args: &[String]) -> ! {
     let mut opts = ServeOptions::default();
     let mut socket: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut service_workers = 0usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -802,14 +796,6 @@ fn cmd_serve(args: &[String]) -> ! {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--service-workers" => {
-                i += 1;
-                service_workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n: &usize| *n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             _ => usage(),
         }
         i += 1;
@@ -825,12 +811,6 @@ fn cmd_serve(args: &[String]) -> ! {
             .build_global()
             .expect("configure global thread pool");
     }
-    let resolved = if service_workers > 0 {
-        service_workers
-    } else {
-        rayon::current_num_threads().max(1)
-    };
-    obs::set_service_workers(resolved);
     std::process::exit(bench::serve::run_serve(opts));
 }
 
@@ -878,7 +858,6 @@ fn cmd_oversub(args: &[String]) -> ! {
     let mut grid = bench::experiments::oversub::Grid::full();
     let mut json = false;
     let mut threads: Option<usize> = None;
-    let mut service_workers = 0usize;
     let mut metrics_out: Option<PathBuf> = None;
     let mut metrics_interval = metrics::DEFAULT_SAMPLE_INTERVAL_NS;
     let mut progress: Option<bool> = None;
@@ -911,14 +890,6 @@ fn cmd_oversub(args: &[String]) -> ! {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--service-workers" => {
-                i += 1;
-                service_workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n: &usize| *n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             "--metrics-out" => {
                 i += 1;
                 metrics_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
@@ -947,12 +918,6 @@ fn cmd_oversub(args: &[String]) -> ! {
             .build_global()
             .expect("configure global thread pool");
     }
-    let resolved_workers = if service_workers > 0 {
-        service_workers
-    } else {
-        rayon::current_num_threads().max(1)
-    };
-    obs::set_service_workers(resolved_workers);
     if metrics_out.is_some() {
         obs::enable_metrics(metrics_interval, metrics::DEFAULT_SAMPLE_CAPACITY);
     }
@@ -974,12 +939,10 @@ fn cmd_oversub(args: &[String]) -> ! {
 
     let total0 = Instant::now();
     bench::experiments::take_sim_totals();
-    metrics::phase::take();
     metrics::sched::take();
     let outcome = bench::experiments::oversub::run(scale, &grid);
     let wall = total0.elapsed().as_secs_f64();
     let totals = bench::experiments::take_sim_totals();
-    let phase = metrics::phase::take();
     let sched = metrics::sched::take();
 
     let tsv = metrics::oversub::render_table(&outcome.cells, &outcome.cliffs);
@@ -1041,12 +1004,6 @@ fn cmd_oversub(args: &[String]) -> ! {
             warp_steps_per_sec: totals.warp_steps as f64 / wall,
             evictions_per_fault: totals.evictions_per_fault(),
             coverage_pct: totals.coverage_pct(),
-            serial_front_ms: phase.serial_front_ns as f64 / 1e6,
-            parallel_service_ms: phase.parallel_service_ns as f64 / 1e6,
-            service_busy_ms: phase.service_busy_ns as f64 / 1e6,
-            worker_utilisation: phase.utilisation(),
-            plan_replans: phase.plan_replans,
-            service_workers: phase.workers,
             sweep_points: sched.points,
             points_stolen: sched.stolen,
             max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
@@ -1058,7 +1015,6 @@ fn cmd_oversub(args: &[String]) -> ! {
             build: bench::metricsio::build_info(),
             scale_denominator: scale_den,
             threads: rayon::current_num_threads(),
-            service_workers: resolved_workers,
             experiments: vec![perf],
             total_wall_seconds: wall,
         };
@@ -1176,22 +1132,6 @@ struct ExperimentPerf {
     evictions_per_fault: f64,
     /// Prefetched share of all H2D page migrations, percent — also gated.
     coverage_pct: f64,
-    /// Host wall time the drivers spent in the serial front half of batch
-    /// service (fetch/sort, replay policy, ordered commit).
-    serial_front_ms: f64,
-    /// Host wall time on the planning phase's critical path.
-    parallel_service_ms: f64,
-    /// Planning work summed over all participants (≥ `parallel_service_ms`
-    /// when the pool scales).
-    service_busy_ms: f64,
-    /// `busy / (wall × workers)` — effective planner utilisation.
-    worker_utilisation: f64,
-    /// Pooled plans recomputed serially at commit after an intra-batch
-    /// eviction invalidated the batch-start snapshot (0 on the fused
-    /// serial path, which always plans against current state).
-    plan_replans: u64,
-    /// Service-planning workers the experiment's drivers ran with.
-    service_workers: u64,
     /// Sweep points executed across the experiment's sweeps.
     sweep_points: u64,
     /// Points executed by a worker they were not dealt to — the
@@ -1218,9 +1158,6 @@ struct PerfReport {
     build: String,
     scale_denominator: f64,
     threads: usize,
-    /// Resolved `--service-workers` (auto resolves to the sweep thread
-    /// count before any sweep runs; never 0).
-    service_workers: usize,
     experiments: Vec<ExperimentPerf>,
     total_wall_seconds: f64,
 }
@@ -1292,7 +1229,6 @@ fn main() {
     let mut out_dir = PathBuf::from("repro-out");
     let mut json = false;
     let mut threads: Option<usize> = None;
-    let mut service_workers = 0usize;
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_cap = metrics::DEFAULT_SPAN_CAPACITY;
     let mut metrics_out: Option<PathBuf> = None;
@@ -1351,18 +1287,6 @@ fn main() {
                 }
                 threads = Some(n);
             }
-            "--service-workers" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if n == 0 {
-                    eprintln!("error: --service-workers must be >= 1");
-                    std::process::exit(2);
-                }
-                service_workers = n;
-            }
             "--out" => {
                 i += 1;
                 out_dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
@@ -1378,16 +1302,6 @@ fn main() {
             .build_global()
             .expect("configure global thread pool");
     }
-    // Resolve `--service-workers` auto (0) to the sweep thread count
-    // *here*, explicitly: every sweep point's driver config carries the
-    // resolved number, so the phase telemetry's worker split never
-    // silently inherits the ambient rayon pool size downstream.
-    let resolved_workers = if service_workers > 0 {
-        service_workers
-    } else {
-        rayon::current_num_threads().max(1)
-    };
-    obs::set_service_workers(resolved_workers);
     if trace_out.is_some() {
         obs::enable_tracing(trace_cap);
     }
@@ -1429,14 +1343,12 @@ fn main() {
     let total0 = Instant::now();
     let mut perf = Vec::with_capacity(selected.len());
     bench::experiments::take_sim_totals(); // reset the work accumulator
-    metrics::phase::take(); // reset the service-phase accumulator
     metrics::sched::take(); // reset the sweep-scheduler accumulator
     for (name, f) in selected {
         let t0 = Instant::now();
         let artifact = f(scale);
         let wall = t0.elapsed().as_secs_f64();
         let totals = bench::experiments::take_sim_totals();
-        let phase = metrics::phase::take();
         let sched = metrics::sched::take();
         perf.push(ExperimentPerf {
             name: name.to_string(),
@@ -1447,12 +1359,6 @@ fn main() {
             warp_steps_per_sec: totals.warp_steps as f64 / wall,
             evictions_per_fault: totals.evictions_per_fault(),
             coverage_pct: totals.coverage_pct(),
-            serial_front_ms: phase.serial_front_ns as f64 / 1e6,
-            parallel_service_ms: phase.parallel_service_ns as f64 / 1e6,
-            service_busy_ms: phase.service_busy_ns as f64 / 1e6,
-            worker_utilisation: phase.utilisation(),
-            plan_replans: phase.plan_replans,
-            service_workers: phase.workers,
             sweep_points: sched.points,
             points_stolen: sched.stolen,
             max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
@@ -1475,9 +1381,9 @@ fn main() {
             out(&format!("  wrote {}", path.display()));
             // Flush the perf report incrementally: a partial `repro all`
             // (interrupted, or killed by the nightly timeout) still
-            // leaves every completed experiment's host-phase telemetry
+            // leaves every completed experiment's wall-time telemetry
             // on disk instead of reporting it only at process exit.
-            let path = write_perf_report(&out_dir, scale_den, resolved_workers, &perf, total0);
+            let path = write_perf_report(&out_dir, scale_den, &perf, total0);
             out(&format!("  wrote {}", path.display()));
         }
         if let Some(dir) = &metrics_out {
@@ -1538,7 +1444,7 @@ fn main() {
     if json {
         // Final rewrite with the end-to-end wall time (the incremental
         // flushes above carried a still-growing total).
-        let path = write_perf_report(&out_dir, scale_den, resolved_workers, &perf, total0);
+        let path = write_perf_report(&out_dir, scale_den, &perf, total0);
         out(&format!("  wrote {}", path.display()));
     }
 }
@@ -1550,7 +1456,6 @@ fn main() {
 fn write_perf_report(
     out_dir: &std::path::Path,
     scale_den: f64,
-    service_workers: usize,
     perf: &[ExperimentPerf],
     total0: Instant,
 ) -> PathBuf {
@@ -1558,7 +1463,6 @@ fn write_perf_report(
         build: bench::metricsio::build_info(),
         scale_denominator: scale_den,
         threads: rayon::current_num_threads(),
-        service_workers,
         experiments: perf.to_vec(),
         total_wall_seconds: total0.elapsed().as_secs_f64(),
     };

@@ -16,8 +16,6 @@
 //!   scatter figures (Fig. 7 and Fig. 8).
 //! * [`span`] — span-level batch-lifecycle tracing: begin/end/leaf/instant
 //!   events per driver pass, bounded recorder, flame-style summaries.
-//! * [`phase`] — host wall-time split of the driver's two-phase batch
-//!   service (serial front vs parallel planning), for Amdahl tracking.
 //! * [`sched`] — host wall-time stats of the sweep's work-stealing point
 //!   scheduler (points stolen, max straggler), for load-balance tracking.
 //! * [`chrome`] — Chrome-trace/Perfetto JSON export of span traces plus a
@@ -54,7 +52,6 @@ pub mod exposition;
 pub mod histogram;
 pub mod lineage;
 pub mod oversub;
-pub mod phase;
 pub mod report;
 pub mod sched;
 pub mod serve;
@@ -78,7 +75,6 @@ pub use oversub::{
     Cliff, OversubCell, OversubStats, CLIFF_THRESHOLD_BP, OVERSUB_CLIFF_JUMP_BP,
     OVERSUB_CLIFF_RATIO, OVERSUB_HEADER, OVERSUB_REGISTRY,
 };
-pub use phase::ServicePhaseWall;
 pub use sched::SweepSchedStats;
 pub use serve::{ServeEvent, ServeEventKind, ServeEventLog, ServeMetric, ServeStats, SERVE_REGISTRY};
 pub use timeseries::{

@@ -51,7 +51,7 @@ pub enum EvictionPolicy {
     AccessCounterLru,
     /// Baseline: victim drawn uniformly from the resident set with a
     /// deterministic seeded PRNG (derived from the simulation seed, so
-    /// runs stay bit-identical at any worker count).
+    /// runs stay bit-identical at any `--threads` value).
     Random,
     /// Extension: victim is the resident VABlock with the fewest
     /// serviced faults so far (ties broken toward the LRU end), i.e. a

@@ -3,27 +3,46 @@
 //! heap again. A counting global allocator makes the claim checkable
 //! instead of aspirational — if someone reintroduces a per-batch map or
 //! a `collect()`, this test fails with the allocation count.
+//!
+//! The count is per thread: each test reads only the allocations its own
+//! thread made, so the libtest harness and the other tests running in
+//! parallel cannot leak into its measuring window.
 
 use gpu_model::{AccessType, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage};
 use sim_engine::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use uvm_driver::batch::{gather_into, BatchArena};
 use uvm_driver::ManagedSpace;
 
-/// Passes allocations through to the system allocator, counting them.
+/// Passes allocations through to the system allocator, counting them
+/// per thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations (including reallocations) this thread has made.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -34,6 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Driver passes run before a measuring window opens. Besides sizing the
+/// arena, warm-up must fill the space's residency change log: a ring of
+/// fixed capacity that grows by `push` until it reaches that capacity,
+/// which takes a few hundred passes of the thrash scenarios below.
+const WARM_UP_PASSES: u64 = 512;
 
 /// A full batch of faults shaped like the thrash steady state: many
 /// VABlocks, unsorted arrival order, duplicates across µTLBs.
@@ -73,50 +98,36 @@ fn steady_state_batch_preprocessing_does_not_allocate() {
         assert!(!arena.batch.groups.is_empty(), "warm-up produced no groups");
     }
 
-    // Steady state: zero heap allocations over many batches. The
-    // counter is process-global, so the libtest harness thread can leak
-    // one-time lazy-init allocations into the window; retry a few
-    // windows and accept the cleanest. A *per-batch* allocation in
-    // `gather_into` repeats in every window and still fails.
-    let mut cleanest = u64::MAX;
-    for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for batch in 0..60 {
-            fill_buffer(&mut buffer, 4 + attempt * 60 + batch);
-            gather_into(
-                &mut buffer,
-                256,
-                SimTime::ZERO + SimDuration::from_millis(batch + 1),
-                &mut space,
-                &mut arena,
-            );
-            assert!(!arena.batch.groups.is_empty());
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+    // Steady state: zero heap allocations over many batches. Buffer
+    // fills happen inside the window too; they must not allocate either
+    // once the buffer is sized.
+    let before = allocs();
+    for batch in 0..60 {
+        fill_buffer(&mut buffer, 4 + batch);
+        gather_into(
+            &mut buffer,
+            256,
+            SimTime::ZERO + SimDuration::from_millis(batch + 1),
+            &mut space,
+            &mut arena,
+        );
+        assert!(!arena.batch.groups.is_empty());
     }
-    assert_eq!(
-        cleanest, 0,
-        "steady-state gather_into allocated {cleanest} times in every window"
-    );
+    let n = allocs() - before;
+    assert_eq!(n, 0, "steady-state gather_into allocated {n} times");
 }
 
-/// The same claim for the whole service path with the planning pool
-/// engaged: once the arena, plan vector and per-worker scratch trees are
-/// sized, a full pass — gather, parallel planning at 4 workers, ordered
-/// commit with evictions — must not touch the heap.
+/// The same claim for the whole service path: once the arena and the
+/// planning scratch tree are sized, a full pass — gather, per-group
+/// planning, ordered commit with evictions — must not touch the heap.
 #[test]
-fn steady_state_parallel_service_does_not_allocate() {
+fn steady_state_service_does_not_allocate() {
     use sim_engine::units::VABLOCK_SIZE;
     use sim_engine::{CostModel, SimRng};
     use uvm_driver::{DriverConfig, UvmDriver};
 
     let cfg = DriverConfig {
         gpu_memory_bytes: 4 * VABLOCK_SIZE,
-        service_workers: 4,
         ..DriverConfig::default()
     };
     let mut space = ManagedSpace::new();
@@ -125,9 +136,8 @@ fn steady_state_parallel_service_does_not_allocate() {
     let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
     let clock = SimTime::ZERO + SimDuration::from_millis(1);
 
-    // 12 faulting blocks per pass: enough groups to engage the pool, and
-    // 3× the GPU's capacity so evictions (and stale-plan replans) churn
-    // every pass — the thrash steady state.
+    // 12 faulting blocks per pass, 3× the GPU's capacity, so evictions
+    // churn every pass — the thrash steady state.
     let fill = |buffer: &mut FaultBuffer, round: u64| {
         for b in 0..12u64 {
             buffer.push(FaultEntry {
@@ -143,29 +153,19 @@ fn steady_state_parallel_service_does_not_allocate() {
         }
     };
 
-    for round in 0..16u64 {
+    for round in 0..WARM_UP_PASSES {
         fill(&mut buffer, round);
         driver.process_pass(&mut buffer, clock);
     }
 
-    let mut cleanest = u64::MAX;
-    for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for round in 0..40u64 {
-            fill(&mut buffer, 16 + attempt * 40 + round);
-            let r = driver.process_pass(&mut buffer, clock);
-            assert!(r.fetched > 0);
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+    let before = allocs();
+    for round in 0..40u64 {
+        fill(&mut buffer, WARM_UP_PASSES + round);
+        let r = driver.process_pass(&mut buffer, clock);
+        assert!(r.fetched > 0);
     }
-    assert_eq!(
-        cleanest, 0,
-        "steady-state parallel service allocated {cleanest} times in every window"
-    );
+    let n = allocs() - before;
+    assert_eq!(n, 0, "steady-state service allocated {n} times");
     assert!(driver.counters().evictions > 0, "the scenario must thrash");
     // The provenance ledger rode along through every one of those passes
     // (fixed-size counters + preallocated per-block stats), so a thrashing
@@ -230,31 +230,21 @@ fn steady_state_sampling_does_not_allocate() {
     };
 
     // Warm-up sizes the arena and fills the sample buffer once.
-    for round in 0..40u64 {
+    for round in 0..WARM_UP_PASSES {
         fill(&mut buffer, round);
         let r = driver.process_pass(&mut buffer, clock);
         clock += r.time;
     }
 
-    let mut cleanest = u64::MAX;
-    for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for round in 0..40u64 {
-            fill(&mut buffer, 40 + attempt * 40 + round);
-            let r = driver.process_pass(&mut buffer, clock);
-            clock += r.time;
-            assert!(r.fetched > 0);
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+    let before = allocs();
+    for round in 0..40u64 {
+        fill(&mut buffer, WARM_UP_PASSES + round);
+        let r = driver.process_pass(&mut buffer, clock);
+        clock += r.time;
+        assert!(r.fetched > 0);
     }
-    assert_eq!(
-        cleanest, 0,
-        "steady-state sampling allocated {cleanest} times in every window"
-    );
+    let n = allocs() - before;
+    assert_eq!(n, 0, "steady-state sampling allocated {n} times");
     driver.finalize_timeseries(clock);
     let ts = driver.take_timeseries();
     assert!(
@@ -307,31 +297,21 @@ fn steady_state_lineage_recording_does_not_allocate() {
 
     // Warm-up: the arena sizes itself; the lineage buffers were already
     // reserved in full at construction.
-    for round in 0..16u64 {
+    for round in 0..WARM_UP_PASSES {
         fill(&mut buffer, round);
         let r = driver.process_pass(&mut buffer, clock);
         clock += r.time;
     }
 
-    let mut cleanest = u64::MAX;
-    for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for round in 0..40u64 {
-            fill(&mut buffer, 16 + attempt * 40 + round);
-            let r = driver.process_pass(&mut buffer, clock);
-            clock += r.time;
-            assert!(r.fetched > 0);
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+    let before = allocs();
+    for round in 0..40u64 {
+        fill(&mut buffer, WARM_UP_PASSES + round);
+        let r = driver.process_pass(&mut buffer, clock);
+        clock += r.time;
+        assert!(r.fetched > 0);
     }
-    assert_eq!(
-        cleanest, 0,
-        "steady-state lineage recording allocated {cleanest} times in every window"
-    );
+    let n = allocs() - before;
+    assert_eq!(n, 0, "steady-state lineage recording allocated {n} times");
     // The window emitted real events (thrash => refaults and evictions),
     // and the log it produced reconciles against the ledgers.
     let lineage = driver.take_lineage();
@@ -388,24 +368,14 @@ fn steady_state_event_replay_does_not_allocate() {
         eng.run(&space, &mut buffer, SimTime::ZERO);
     }
 
-    let mut cleanest = u64::MAX;
-    for _ in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..40 {
-            buffer.flush();
-            eng.replay();
-            eng.run(&space, &mut buffer, SimTime::ZERO);
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+    let before = allocs();
+    for _ in 0..40 {
+        buffer.flush();
+        eng.replay();
+        eng.run(&space, &mut buffer, SimTime::ZERO);
     }
-    assert_eq!(
-        cleanest, 0,
-        "steady-state event-driven replay allocated {cleanest} times in every window"
-    );
+    let n = allocs() - before;
+    assert_eq!(n, 0, "steady-state event-driven replay allocated {n} times");
     let c = eng.counters();
     assert!(
         c.retries_skipped > 0,
