@@ -52,12 +52,16 @@ push)
         exit 1
     fi
 
-    echo "== repro fig1 --scale 128 --retry-crosscheck (scan vs event-driven equivalence) =="
+    echo "== repro fig1/table1/table2 --scale 128 --retry-crosscheck (scan vs event-driven equivalence) =="
     # Runs the event-driven replay bookkeeping and the reference rescan
     # side by side; hard asserts fire if the closed-form skip would ever
-    # diverge from the scan's exact counters/buffer writes.
-    ./target/release/repro fig1 --scale 128 --no-progress --retry-crosscheck \
-        --out ci-out/crosscheck > /dev/null
+    # diverge from the scan's exact counters/buffer writes. fig1 covers
+    # regular/random; table1 and table2 add the kernels whose blocks
+    # share residency words (sgemm, stream, tealeaf, hpgmg).
+    for exp in fig1 table1 table2; do
+        ./target/release/repro "$exp" --scale 128 --no-progress --retry-crosscheck \
+            --out ci-out/crosscheck > /dev/null
+    done
 
     echo "== repro fig1 --scale 16 --trace-out --metrics-out (traced+sampled run) =="
     t0=$(date +%s.%N)

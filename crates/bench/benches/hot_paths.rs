@@ -1,8 +1,8 @@
 //! Micro-benches of the fault-pipeline hot paths, isolated from the
 //! experiment harness: batch pre-processing (sort-then-group into a
 //! reusable arena), the engine's post-replay retry scan (reference Scan
-//! mode), the event-driven retry skip and waiter-wakeup paths that
-//! replace it, word-at-a-time
+//! mode), the event-driven retry skip, wakeup and shared-word
+//! resubscribe paths that replace it, word-at-a-time
 //! `PageMask` operations, the word-parallel mask kernels behind the SoA
 //! driver (`count_span` / `next_set` / `andnot_with`), the batched LRU
 //! eviction scan, and one end-to-end oversubscribed point at
@@ -15,12 +15,13 @@
 use bench::experiments::Scale;
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_model::{
-    AccessType, BlockTrace, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage, GpuConfig,
-    GpuEngine, PageMask, RetryMode, VaBlockIdx, WorkloadTrace,
+    AccessType, BlockTrace, EngineCounters, EngineStatus, FaultBuffer, FaultBufferConfig,
+    FaultEntry, GlobalPage, GpuConfig, GpuEngine, PageMask, RetryMode, VaBlockIdx, WorkloadTrace,
 };
 use sim_engine::units::VABLOCK_SIZE;
 use sim_engine::{CostModel, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
+use std::sync::Arc;
 use uvm_driver::{DriverConfig, PrefetchPolicy, UvmDriver, VaRange};
 use uvm_sim::{BatchArena, ManagedSpace, WorkloadKind};
 
@@ -68,7 +69,7 @@ fn bench_batch_preprocess(c: &mut Criterion) {
 
 /// A 256-block stall grid over 256 Ki pages, none resident — the
 /// replay-retry shape that dominates oversubscribed runs. `lo` keeps the
-/// random pages out of residency word 0 so the waiter bench can use that
+/// random pages out of residency word 0 so the wakeup bench can use that
 /// word as its private change target.
 fn retry_grid(lo: u64) -> (ManagedSpace, WorkloadTrace) {
     let mut space = ManagedSpace::new();
@@ -193,9 +194,9 @@ fn bench_retry_skip_scan_twin(c: &mut Criterion) {
 
 /// Event-driven path with one residency word changing per replay: block 0
 /// waits on pages 0..16 (word 0) and an unrelated page of word 0 toggles
-/// residency each iteration, so every replay pays one wakeup dispatch and
-/// one real 16-page rescan while the other 255 blocks skip.
-fn bench_waiter_wakeup(c: &mut Criterion) {
+/// residency each iteration, so every replay pays one wakeup and one real
+/// 16-page rescan while the other 255 blocks skip.
+fn bench_wakeup(c: &mut Criterion) {
     let (mut space, mut trace) = retry_grid(64);
     let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
     bt.push_step((0..16).map(GlobalPage), false);
@@ -222,6 +223,62 @@ fn bench_waiter_wakeup(c: &mut Criterion) {
         engine.counters().replays == 0 || engine.counters().wakeups > 0,
         "bench must exercise the wakeup path"
     );
+}
+
+/// 256 blocks of 8 steps each, every step waiting on a page of residency
+/// word 1. One launch runs to completion over 8 replays: each replay
+/// makes the next 8 pages of word 1 resident, waking the whole grid,
+/// and every block completes its step and resubscribes on the same hot
+/// word — 256 subscribes per replay on one word, the case whose cost
+/// grew with the number of blocks already waiting on it.
+fn shared_word_launch(trace: &Arc<WorkloadTrace>, space: &mut ManagedSpace) -> EngineCounters {
+    let mut engine = GpuEngine::launch(
+        GpuConfig::default(),
+        Arc::clone(trace),
+        SimRng::from_seed(1),
+    );
+    let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
+    let mut next = 64;
+    while engine.run(&*space, &mut buffer, SimTime::ZERO) == EngineStatus::Stalled {
+        buffer.flush();
+        for p in next..next + 8 {
+            space.resident_mut(VaBlockIdx(0)).set(p);
+        }
+        space.sync_block_residency(VaBlockIdx(0));
+        next += 8;
+        engine.replay();
+    }
+    for p in 64..next {
+        space.resident_mut(VaBlockIdx(0)).clear(p);
+    }
+    space.sync_block_residency(VaBlockIdx(0));
+    *engine.counters()
+}
+
+fn bench_shared_word(c: &mut Criterion) {
+    let mut space = ManagedSpace::new();
+    space.alloc(VABLOCK_SIZE, "bench");
+    let blocks: Vec<BlockTrace> = (0..256u64)
+        .map(|i| {
+            let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
+            for s in 0..8 {
+                bt.push_step([GlobalPage(64 + s * 8 + i % 8)], false);
+            }
+            bt
+        })
+        .collect();
+    let trace = Arc::new(WorkloadTrace {
+        name: "shared-word".into(),
+        blocks,
+        footprint_pages: 64,
+    });
+    let c0 = shared_word_launch(&trace, &mut space);
+    assert_eq!(c0.steps_completed, 256 * 8);
+    assert!(c0.wakeups >= 256 * 7, "every replay must wake the grid");
+    c.benchmark_group("hot_paths")
+        .bench_function("retry_shared_word_256_blocks", |b| {
+            b.iter(|| black_box(shared_word_launch(&trace, &mut space)))
+        });
 }
 
 fn bench_mask_word_ops(c: &mut Criterion) {
@@ -340,7 +397,8 @@ criterion_group!(
     bench_replay_retry,
     bench_retry_skip,
     bench_retry_skip_scan_twin,
-    bench_waiter_wakeup,
+    bench_wakeup,
+    bench_shared_word,
     bench_mask_word_ops,
     bench_mask_kernels,
     bench_eviction_scan,

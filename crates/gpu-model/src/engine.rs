@@ -284,9 +284,10 @@ pub struct EngineCounters {
     /// retry effects were applied without touching them).
     #[serde(default)]
     pub retry_pages_skipped: u64,
-    /// Stalled blocks marked dirty by a residency change event landing on
-    /// a word they were subscribed to (each wakeup forces one real
-    /// rescan). Zero under [`RetryMode::Scan`].
+    /// Dirty retries: retries of a subscribed block whose covering
+    /// residency words changed since it last checked them, or after a
+    /// drain that had to assume every word changed. Each one is a real
+    /// rescan. Zero under [`RetryMode::Scan`].
     #[serde(default)]
     pub wakeups: u64,
 }
@@ -349,28 +350,32 @@ pub struct GpuEngine {
     /// computed when the block subscribes. Disjointness against the
     /// µTLB's `outstanding_filter` proves no pending page can coalesce.
     pending_fp: Vec<u64>,
-    /// Subscription generation per block. Waiter-index entries carry the
-    /// generation they were created under; bumping it invalidates every
-    /// outstanding entry at once (lazy deletion — dead entries are
-    /// dropped when their word's list is next walked or compacted).
-    sub_gen: Vec<u32>,
-    /// True when a residency word covering the block's pending list
-    /// changed since the list was built: the retry must rescan. Cleared
-    /// after the rescan (the subscription itself stays live).
-    stall_dirty: Vec<bool>,
-    /// True while the block's current pending list is registered in the
-    /// waiter index. A block may only be treated as clean while
-    /// subscribed — otherwise no change event could ever dirty it.
+    /// True once the block has stalled under live change events: its
+    /// pending list then has a fingerprint and its covering words lie
+    /// inside `word_stamp` (every later stall resubscribes). A block may
+    /// only be treated as clean while subscribed.
     subscribed: Vec<bool>,
+    /// Drain number at which each block last observed residency for its
+    /// pending list (set on every stall). A retry is clean iff no drain
+    /// after it stamped a covering word or dirtied every word.
+    checked_at: Vec<u64>,
     /// µTLB drain epoch observed when the block last stalled. A retry
     /// only ever happens after at least one drain (`replay()` clears all
     /// outstanding sets), which is what makes "apply the whole pending
     /// list's effects once" the complete retry outcome.
     stall_drain: Vec<u64>,
-    /// Waiter index: dense residency-word index (`page / 64`) → list of
-    /// `(block, generation)` subscriptions. Change events walk only the
-    /// lists of words that actually changed.
-    waiters: Vec<Vec<(u32, u32)>>,
+    /// Change stamp per dense residency word (`page / 64`): the drain
+    /// number at which the oracle's change log last reported the word.
+    /// Grown on subscribe to cover every subscribed word; a word past its
+    /// end has no subscriber, and a later subscriber checks after the
+    /// change, so leaving it unstamped is exact.
+    word_stamp: Vec<u64>,
+    /// Residency drains so far (one per [`run`](Self::run) under a
+    /// change-publishing oracle).
+    drain_no: u64,
+    /// Last drain that had to assume every word changed: first contact,
+    /// a truncated change log or a sequence regression.
+    all_dirty_at: u64,
     /// Oracle change stamp up to which events have been consumed.
     seen_seq: u64,
     /// Set once a change-publishing oracle has been observed; until then
@@ -389,10 +394,6 @@ pub struct GpuEngine {
 /// list) must not pin its peak allocation for the rest of the launch.
 /// 4096 packed entries = 32 KB, comfortably L2-resident.
 const RETRY_SCRATCH_CAP: usize = 4096;
-
-/// Waiter lists longer than this are compacted (dead generations dropped)
-/// before the next push, bounding lazy-deletion garbage per word.
-const WAITER_COMPACT_LEN: usize = 64;
 
 /// Top bit of a packed pending entry: set when the access is a write.
 /// Page numbers occupy the low 63 bits (a 4 KB-page address space of
@@ -496,11 +497,12 @@ impl GpuEngine {
             rng,
             miss_scratch: Vec::new(),
             pending_fp: vec![0; n],
-            sub_gen: vec![0; n],
-            stall_dirty: vec![false; n],
             subscribed: vec![false; n],
+            checked_at: vec![0; n],
             stall_drain: vec![0; n],
-            waiters: Vec::new(),
+            word_stamp: Vec::new(),
+            drain_no: 0,
+            all_dirty_at: 0,
             seen_seq: 0,
             events_live: false,
             drain_epoch: 0,
@@ -554,12 +556,16 @@ impl GpuEngine {
 
         // Event-driven fast path: a retry is *clean* when the oracle
         // publishes change events and no residency word covering
-        // `pending` changed since the list was built — the scan would
-        // provably see zero hits, so its exact effects can be replayed
-        // without loading a single residency word. (`events_live` is
-        // never set under `RetryMode::Scan`, so `clean` is false there.)
-        let is_retry = !pending.is_empty();
-        let clean = is_retry && self.events_live && self.subscribed[idx] && !self.stall_dirty[idx];
+        // `pending` changed since the block last checked it — the scan
+        // would provably see zero hits, so its exact effects can be
+        // replayed without loading a single residency word. A dirty
+        // retry is one wakeup. (`events_live` is never set under
+        // `RetryMode::Scan`, so `clean` is false there.)
+        let live_retry = !pending.is_empty() && self.events_live;
+        let clean = live_retry && self.pending_unchanged(idx, &pending);
+        if live_retry && !clean {
+            self.counters.wakeups += 1;
+        }
         let skip = clean && matches!(self.cfg.retry, RetryMode::Event);
         let check = clean && matches!(self.cfg.retry, RetryMode::CrossCheck);
         let fp = self.pending_fp[idx];
@@ -621,7 +627,7 @@ impl GpuEngine {
                 // `raise_fault` call sequence the scan would emit (same
                 // counter deltas, same buffer writes, still no residency
                 // loads). Either way the pending list is unchanged, so the
-                // waiter subscription and fingerprint stay valid.
+                // subscription and fingerprint stay valid.
                 debug_assert!(
                     self.stall_drain[idx] < self.drain_epoch,
                     "retry without an intervening µTLB drain"
@@ -640,8 +646,7 @@ impl GpuEngine {
                 }
                 self.pending[idx] = pending;
                 self.miss_scratch = misses;
-                self.status[idx] = BlockStatus::Stalled;
-                self.stall_drain[idx] = self.drain_epoch;
+                self.park(idx);
                 return false;
             } else {
                 // Retry: only re-check what was missing last time. The miss
@@ -710,18 +715,15 @@ impl GpuEngine {
                     }
                     // Nothing became resident: keep `pending` as-is. The
                     // pending list (and so the subscription fingerprint)
-                    // is unchanged — just clear the dirty flag, or build
-                    // the missing subscription for a block that stalled
-                    // before change events went live.
+                    // is unchanged — only build the missing subscription
+                    // for a block that stalled before change events went
+                    // live.
                     debug_assert!(!pending.is_empty());
                     self.pending[idx] = pending;
                     self.miss_scratch = misses;
-                    self.status[idx] = BlockStatus::Stalled;
-                    self.stall_drain[idx] = self.drain_epoch;
+                    self.park(idx);
                     if self.events_live && !self.subscribed[idx] {
                         self.subscribe(idx);
-                    } else {
-                        self.stall_dirty[idx] = false;
                     }
                     return false;
                 }
@@ -744,13 +746,6 @@ impl GpuEngine {
                 self.pending[idx].shrink_to(RETRY_SCRATCH_CAP);
             }
             self.miss_scratch = misses;
-            if is_retry {
-                // The pending list is consumed: invalidate its waiter
-                // subscriptions (lazily — entries die on the next walk).
-                self.sub_gen[idx] = self.sub_gen[idx].wrapping_add(1);
-                self.subscribed[idx] = false;
-                self.stall_dirty[idx] = false;
-            }
             self.counters.steps_completed += 1;
             self.compute_work += self.trace.blocks[idx].step_cost;
             self.cursor[idx] += 1;
@@ -764,9 +759,7 @@ impl GpuEngine {
         // pending vector becomes the next step's scratch. No copies.
         self.pending[idx] = misses;
         self.miss_scratch = pending;
-        self.status[idx] = BlockStatus::Stalled;
-        self.stall_dirty[idx] = false;
-        self.stall_drain[idx] = self.drain_epoch;
+        self.park(idx);
         if self.events_live {
             self.subscribe(idx);
         }
@@ -788,10 +781,9 @@ impl GpuEngine {
     ) -> EngineStatus {
         // Residency is immutable for the duration of one run, so the
         // change events the driver produced since the last run are
-        // consumed once, up front: they wake (mark dirty) exactly the
-        // stalled blocks subscribed to words that changed. Scan mode
-        // never drains, keeping `events_live` false and every retry on
-        // the reference path.
+        // consumed once, up front, as word stamps. Scan mode never
+        // drains, keeping `events_live` false and every retry on the
+        // reference path.
         if !matches!(self.cfg.retry, RetryMode::Scan) {
             self.drain_residency_events(residency);
         }
@@ -856,130 +848,94 @@ impl GpuEngine {
         // twin is capped on step completion) so a pathological step's
         // allocation cannot outlive the pass that needed it.
         self.miss_scratch.shrink_to(RETRY_SCRATCH_CAP);
-        for s in &mut self.status {
+        // Only blocks on an SM can be Stalled, so the grid is not walked.
+        for &b in &self.active {
+            let s = &mut self.status[b as usize];
             if matches!(s, BlockStatus::Stalled) {
                 *s = BlockStatus::Runnable;
             }
         }
     }
 
-    /// Consume the oracle's residency change events: mark every stalled
-    /// block subscribed to a changed word dirty (it must rescan its
-    /// pending list on retry). Blocks whose words did not change stay
-    /// clean and are eligible for the event-driven skip.
+    /// Leave `block` Stalled after an attempt that observed residency as
+    /// of the current drain.
+    fn park(&mut self, block: usize) {
+        self.status[block] = BlockStatus::Stalled;
+        self.stall_drain[block] = self.drain_epoch;
+        self.checked_at[block] = self.drain_no;
+    }
+
+    /// Consume the oracle's residency change events as word stamps, in
+    /// O(changed words): each changed word is stamped with this drain's
+    /// number, and a retry whose covering words all carry older stamps
+    /// than its block's `checked_at` is clean.
     fn drain_residency_events<R: Residency + ?Sized>(&mut self, residency: &R) {
         let Some(seq) = residency.change_seq() else {
             // Oracle without change events: `events_live` stays false and
             // every retry takes the (always-correct) rescan path.
             return;
         };
-        if !self.events_live {
-            // First contact with a publishing oracle: adopt its stamp and
-            // conservatively dirty anything already stalled (nothing can
-            // be, on the normal launch path — belt and braces).
+        self.drain_no += 1;
+        let drain = self.drain_no;
+        if !self.events_live || seq < self.seen_seq {
+            // First contact with a publishing oracle, or a different (or
+            // reset) oracle instance: its history is unknowable, so treat
+            // every word as changed.
             self.events_live = true;
             self.seen_seq = seq;
-            self.mark_all_stalled_dirty();
+            self.all_dirty_at = drain;
             return;
         }
-        if seq == self.seen_seq {
+        let since = std::mem::replace(&mut self.seen_seq, seq);
+        if since == seq {
             return;
         }
-        if seq < self.seen_seq {
-            // A different (or reset) oracle instance: its history is
-            // unknowable, so treat every word as changed.
-            self.seen_seq = seq;
-            self.mark_all_stalled_dirty();
-            return;
-        }
-        let since = self.seen_seq;
-        self.seen_seq = seq;
-        let waiters = &mut self.waiters;
-        let sub_gen = &self.sub_gen;
-        let stall_dirty = &mut self.stall_dirty;
-        let mut wakeups = 0u64;
+        let word_stamp = &mut self.word_stamp;
         let complete = residency.changed_words_since(since, &mut |word| {
-            let Some(list) = waiters.get_mut(word as usize) else {
-                return;
-            };
-            if list.is_empty() {
-                return;
+            if let Some(stamp) = word_stamp.get_mut(word as usize) {
+                *stamp = drain;
             }
-            // Walking a changed word's list drops dead generations and
-            // wakes (dirties) the live subscribers; the subscriptions
-            // stay registered — a block rescans once per wakeup but
-            // keeps waiting on the same words until its pending changes.
-            list.retain(|&(block, gen)| {
-                if sub_gen[block as usize] != gen {
-                    return false;
-                }
-                let dirty = &mut stall_dirty[block as usize];
-                if !*dirty {
-                    *dirty = true;
-                    wakeups += 1;
-                }
-                true
-            });
         });
-        self.counters.wakeups += wakeups;
         if !complete {
             // The oracle's change log was truncated: every word may have
             // changed. Correctness first — dirty everything.
-            self.mark_all_stalled_dirty();
+            self.all_dirty_at = drain;
         }
     }
 
-    /// Conservative fallback: force a rescan of every stalled block.
-    fn mark_all_stalled_dirty(&mut self) {
-        let mut wakeups = 0u64;
-        for (i, s) in self.status.iter().enumerate() {
-            if matches!(s, BlockStatus::Stalled) && !self.stall_dirty[i] {
-                self.stall_dirty[i] = true;
-                wakeups += 1;
-            }
+    /// True when `block` is subscribed and no drain since it last checked
+    /// residency reported a word covering `pending` (or every word) as
+    /// changed: the retry would provably find nothing newly resident.
+    fn pending_unchanged(&self, block: usize, pending: &[u64]) -> bool {
+        let since = self.checked_at[block];
+        if !self.subscribed[block] || self.all_dirty_at > since {
+            return false;
         }
-        self.counters.wakeups += wakeups;
-    }
-
-    /// (Re-)register `block`'s pending list in the waiter index: one
-    /// `(block, generation)` entry per covering residency word, and the
-    /// list's 64-bit fingerprint for the arithmetic-throttle proof.
-    /// Bumping the generation first invalidates any entries from the
-    /// block's previous pending list (lazy deletion).
-    fn subscribe(&mut self, block: usize) {
-        let gen = self.sub_gen[block].wrapping_add(1);
-        self.sub_gen[block] = gen;
-        let pending = std::mem::take(&mut self.pending[block]);
-        let mut fp = 0u64;
         let mut last_word = u64::MAX;
-        for &packed in &pending {
+        pending.iter().all(|&packed| {
+            let word = (packed & !WRITE_BIT) / 64;
+            let same = word == last_word;
+            last_word = word;
+            same || self.word_stamp[word as usize] <= since
+        })
+    }
+
+    /// Subscribe `block`'s pending list: build its 64-bit fingerprint for
+    /// the arithmetic-throttle proof and grow `word_stamp` to cover its
+    /// words. Called right after [`park`](Self::park) set `checked_at`.
+    fn subscribe(&mut self, block: usize) {
+        let mut fp = 0u64;
+        let mut max_word = 0;
+        for &packed in &self.pending[block] {
             let page = packed & !WRITE_BIT;
             fp |= 1u64 << (page % 64);
-            let word = page / 64;
-            if word == last_word {
-                continue;
-            }
-            last_word = word;
-            let wi = word as usize;
-            if self.waiters.len() <= wi {
-                self.waiters.resize_with(wi + 1, Vec::new);
-            }
-            let sub_gen = &self.sub_gen;
-            let list = &mut self.waiters[wi];
-            // All of this call's pushes carry the same (block, gen), so a
-            // tail check dedups repeated non-adjacent words too.
-            if list.last() == Some(&(block as u32, gen)) {
-                continue;
-            }
-            if list.len() >= WAITER_COMPACT_LEN {
-                list.retain(|&(b, g)| sub_gen[b as usize] == g);
-            }
-            list.push((block as u32, gen));
+            max_word = max_word.max(page / 64);
         }
-        self.pending[block] = pending;
+        if self.word_stamp.len() <= max_word as usize {
+            self.word_stamp.resize(max_word as usize + 1, 0);
+        }
         self.pending_fp[block] = fp;
         self.subscribed[block] = true;
-        self.stall_dirty[block] = false;
     }
 
     /// Capacity of the shared retry scratch buffer (test/bench hook for
@@ -996,9 +952,11 @@ impl GpuEngine {
         self.pending.iter().map(Vec::capacity).max().unwrap_or(0)
     }
 
-    /// True once every block has completed.
+    /// True once every block has completed: none is left on an SM or
+    /// waiting for a slot (`run` drops Done blocks from `active` before
+    /// it returns).
     pub fn is_done(&self) -> bool {
-        self.status.iter().all(|s| matches!(s, BlockStatus::Done))
+        self.active.is_empty() && self.next_pending as usize == self.status.len()
     }
 
     /// Accumulated GPU compute time (sum of completed step costs; step
@@ -1343,6 +1301,8 @@ mod tests {
         words: Vec<u64>,
         seq: u64,
         log: Vec<u32>,
+        /// When set, the change log claims truncation on every drain.
+        truncated: bool,
     }
     impl EventSpace {
         fn new(num_pages: u64) -> Self {
@@ -1350,6 +1310,7 @@ mod tests {
                 words: vec![0; ((num_pages + 63) / 64) as usize],
                 seq: 0,
                 log: Vec::new(),
+                truncated: false,
             }
         }
         fn set_page(&mut self, page: u64, resident: bool) {
@@ -1386,11 +1347,223 @@ mod tests {
             Some(self.seq)
         }
         fn changed_words_since(&self, since: u64, visit: &mut dyn FnMut(u64)) -> bool {
+            if self.truncated {
+                return false;
+            }
             for s in since..self.seq {
                 visit(self.log[s as usize] as u64);
             }
             true
         }
+    }
+
+    const MODES: [RetryMode; 3] = [RetryMode::Event, RetryMode::Scan, RetryMode::CrossCheck];
+
+    /// Fetch and discard the buffered faults, returning `(page, utlb)`.
+    fn take_faults(buf: &mut FaultBuffer) -> Vec<(u64, u32)> {
+        let (entries, _) = buf.fetch(usize::MAX, SimTime::ZERO + SimDuration::from_secs(1));
+        entries.iter().map(|e| (e.page.0, e.utlb)).collect()
+    }
+
+    /// Run `scenario` under every retry mode and assert equal semantic
+    /// counters and fault streams; returns the Event-mode counters.
+    fn assert_modes_agree(
+        scenario: impl Fn(RetryMode) -> (EngineCounters, Vec<(u64, u32)>),
+    ) -> EngineCounters {
+        let [event, scan, check] = MODES.map(&scenario);
+        assert_eq!(
+            scan.0.wakeups + scan.0.retries_skipped,
+            0,
+            "scan mode keeps no stamps"
+        );
+        assert_eq!(
+            event.0.semantic(),
+            scan.0.semantic(),
+            "event vs scan counters"
+        );
+        assert_eq!(
+            check.0.semantic(),
+            scan.0.semantic(),
+            "cross-check vs scan counters"
+        );
+        assert_eq!(event.1, scan.1, "event vs scan fault stream");
+        assert_eq!(check.1, scan.1, "cross-check vs scan fault stream");
+        event.0
+    }
+
+    /// Drive `trace` to completion: after every stalled run the buffered
+    /// faults join the stream, `change(round, space)` edits residency,
+    /// and a replay follows.
+    fn drive(
+        cfg: GpuConfig,
+        trace: &WorkloadTrace,
+        mut space: EventSpace,
+        change: impl Fn(u64, &mut EventSpace),
+    ) -> (EngineCounters, Vec<(u64, u32)>) {
+        let mut eng = GpuEngine::launch(cfg, trace.clone(), SimRng::from_seed(11));
+        let mut buf = FaultBuffer::new(FaultBufferConfig::default());
+        let mut stream = Vec::new();
+        let mut round = 0;
+        while eng.run(&space, &mut buf, SimTime::ZERO) == EngineStatus::Stalled {
+            stream.extend(take_faults(&mut buf));
+            change(round, &mut space);
+            eng.replay();
+            round += 1;
+            assert!(round < 1_000, "scenario made no progress");
+        }
+        (*eng.counters(), stream)
+    }
+
+    #[test]
+    fn many_blocks_on_one_shared_word_agree_across_modes() {
+        // 300 blocks all pending on pages of residency word 1 — the case
+        // where subscribing must not cost more per block as more wait.
+        // Odd rounds make one shared-word page resident (every block
+        // wakes); even rounds flip a page of unrelated word 5 (no block
+        // wakes, so full-µTLB disjoint retries take the closed form).
+        let blocks: Vec<Vec<u64>> = (0..300u64)
+            .map(|i| vec![64 + i % 64, 64 + (i * 7 + 3) % 64])
+            .collect();
+        let refs: Vec<&[u64]> = blocks.iter().map(Vec::as_slice).collect();
+        let trace = multi_block_trace(&refs);
+        let c = assert_modes_agree(|retry| {
+            drive(
+                retry_cfg(retry),
+                &trace,
+                EventSpace::new(512),
+                |round, space| {
+                    if round % 2 == 1 {
+                        space.set_page(64 + round / 2, true);
+                    } else {
+                        space.set_page(320, round % 4 == 0);
+                    }
+                },
+            )
+        });
+        assert!(c.wakeups >= 300, "every shared-word change wakes the grid");
+        assert!(c.retries_skipped > 0, "unrelated-word rounds must skip");
+    }
+
+    /// One block stalls on word 0; word 0 changes before each of two
+    /// runs with no replay between them, then a replay retries it.
+    fn two_runs_one_replay(retry: RetryMode) -> (EngineCounters, Vec<(u64, u32)>) {
+        let trace = multi_block_trace(&[&[0, 1, 2, 3]]);
+        let mut eng = GpuEngine::launch(retry_cfg(retry), trace, SimRng::from_seed(3));
+        let mut buf = FaultBuffer::new(FaultBufferConfig::default());
+        let mut space = EventSpace::new(128);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
+        for resident in [true, false] {
+            space.set_page(63, resident);
+            assert_eq!(
+                eng.run(&space, &mut buf, SimTime::ZERO),
+                EngineStatus::Stalled
+            );
+        }
+        eng.replay();
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
+        let woken = *eng.counters();
+        space.fill_resident(0..4);
+        eng.replay();
+        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Done);
+        (woken, take_faults(&mut buf))
+    }
+
+    #[test]
+    fn changes_before_two_runs_without_replay_wake_once() {
+        let c = assert_modes_agree(two_runs_one_replay);
+        assert_eq!(c.wakeups, 1, "two drains before one retry are one wakeup");
+        assert_eq!(c.retries_skipped, 0);
+    }
+
+    #[test]
+    fn truncated_change_log_wakes_every_stalled_block() {
+        // Four blocks on four words. Before the first replay one of block
+        // 0's pages becomes resident behind a log that reports
+        // truncation: no word can be trusted, so every retry must rescan
+        // (CrossCheck would assert on a clean block finding the page).
+        let trace = multi_block_trace(&[&[0, 1], &[64, 65], &[128, 129], &[192, 193]]);
+        let scenario = |retry| {
+            let mut space = EventSpace::new(256);
+            space.truncated = true;
+            drive(
+                retry_cfg(retry),
+                &trace,
+                space,
+                |round, space| match round {
+                    0 => space.set_page(0, true),
+                    _ => space.fill_resident(0..256),
+                },
+            )
+        };
+        let c = assert_modes_agree(scenario);
+        assert_eq!(c.retries_skipped, 0);
+        // Block 0 still waits on page 1 after round 0, so both rounds
+        // retry all four blocks.
+        assert_eq!(
+            c.wakeups,
+            4 + 4,
+            "every retry after a truncated drain is a wakeup"
+        );
+    }
+
+    #[test]
+    fn is_done_and_replay_match_full_grid_reference() {
+        // 40 blocks through 3 SM slots; every third block has no steps.
+        let blocks: Vec<BlockTrace> = (0..40u64)
+            .map(|i| {
+                let mut bt = BlockTrace::new(SimDuration::ZERO);
+                if i % 3 != 1 {
+                    bt.push_step([GlobalPage(i * 64), GlobalPage(i * 64 + 1)], false);
+                    bt.push_step([GlobalPage(i * 64 + 2)], false);
+                }
+                bt
+            })
+            .collect();
+        let trace = WorkloadTrace {
+            name: "grid".into(),
+            blocks,
+            footprint_pages: 80,
+        };
+        let cfg = GpuConfig {
+            max_blocks_resident: 3,
+            ..GpuConfig::default()
+        };
+        let mut eng = GpuEngine::launch(cfg, trace, SimRng::from_seed(5));
+        let mut buf = FaultBuffer::new(FaultBufferConfig::default());
+        let mut space = EventSpace::new(40 * 64);
+        let all_done = |e: &GpuEngine| e.status.iter().all(|s| *s == BlockStatus::Done);
+        assert_eq!(eng.is_done(), all_done(&eng));
+        let mut runs = 0;
+        loop {
+            let st = eng.run(&space, &mut buf, SimTime::ZERO);
+            runs += 1;
+            assert_eq!(eng.is_done(), all_done(&eng), "is_done after run {runs}");
+            assert_eq!(st == EngineStatus::Done, eng.is_done());
+            if eng.is_done() {
+                break;
+            }
+            let want: Vec<BlockStatus> = eng
+                .status
+                .iter()
+                .map(|&s| match s {
+                    BlockStatus::Stalled => BlockStatus::Runnable,
+                    s => s,
+                })
+                .collect();
+            for (page, _) in take_faults(&mut buf) {
+                space.set_page(page, true);
+            }
+            eng.replay();
+            assert_eq!(eng.status, want, "replay after run {runs}");
+            assert!(runs < 200);
+        }
+        assert!(runs > 10, "the grid must cycle through its SM slots");
     }
 
     fn multi_block_trace(blocks_pages: &[&[u64]]) -> WorkloadTrace {
@@ -1460,13 +1633,9 @@ mod tests {
         assert_eq!(sc.counters().retries_skipped, 0, "scan mode never skips");
         assert_eq!(ev.counters().semantic(), sc.counters().semantic());
         assert_eq!(ck.counters().semantic(), sc.counters().semantic());
-        let pages = |b: &mut FaultBuffer| {
-            let (entries, _) = b.fetch(usize::MAX, SimTime::ZERO + SimDuration::from_secs(1));
-            entries.iter().map(|e| (e.page.0, e.utlb)).collect::<Vec<_>>()
-        };
-        let want = pages(&mut sc_buf);
-        assert_eq!(pages(&mut ev_buf), want, "bit-identical fault stream");
-        assert_eq!(pages(&mut ck_buf), want);
+        let want = take_faults(&mut sc_buf);
+        assert_eq!(take_faults(&mut ev_buf), want, "bit-identical fault stream");
+        assert_eq!(take_faults(&mut ck_buf), want);
     }
 
     #[test]

@@ -329,7 +329,7 @@ fn steady_state_lineage_recording_does_not_allocate() {
 /// bounded: two stalled blocks share one full µTLB against a real
 /// `ManagedSpace`, so every replay round resolves one block by the
 /// raise-only closed form and the other arithmetically. Once warm, the
-/// retry hot path must touch neither the heap (no waiter or scratch
+/// retry hot path must touch neither the heap (no stamp or scratch
 /// growth) nor exceed the engine's steady-state scratch cap.
 #[test]
 fn steady_state_event_replay_does_not_allocate() {

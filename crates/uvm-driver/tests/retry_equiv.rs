@@ -3,10 +3,12 @@
 //! — with partial fault service and periodic evictions supplying a
 //! steady stream of residency change events — a run under
 //! `RetryMode::Scan` (reference rescan), `RetryMode::Event`
-//! (change-epoch skip) and `RetryMode::CrossCheck` (both side by side,
+//! (change-stamp skip) and `RetryMode::CrossCheck` (both side by side,
 //! hard-asserting agreement) must produce identical fault streams,
 //! identical semantic counters and identical final residency. Only the
-//! skip/wakeup telemetry may differ.
+//! skip/wakeup telemetry may differ. A second property packs many blocks
+//! onto a few shared residency words, where one change wakes most of the
+//! grid and the rest keep skipping.
 
 use gpu_model::{
     BlockTrace, EngineCounters, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine,
@@ -26,11 +28,21 @@ fn decode(seed: u64) -> u64 {
     seed % PAGES
 }
 
+/// Decode a raw seed into one of 3 shared residency words: every block
+/// of a many-block trace waits on the same handful of words.
+fn decode_shared(seed: u64) -> u64 {
+    (seed % 3) * 64 + (seed >> 8) % 64
+}
+
 fn arb_blocks() -> impl Strategy<Value = Vec<Vec<u64>>> {
     proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..16), 1..8)
 }
 
-fn build_trace(block_steps: &[Vec<u64>]) -> WorkloadTrace {
+fn arb_many_blocks() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..9), 16..64)
+}
+
+fn build_trace(block_steps: &[Vec<u64>], decode: fn(u64) -> u64) -> WorkloadTrace {
     let blocks = block_steps
         .iter()
         .map(|seeds| {
@@ -56,7 +68,7 @@ type EngineOutput = (Vec<Vec<(u64, u32)>>, EngineCounters, Vec<Vec<u64>>);
 /// (resident + sync), and every third round evicts one block wholesale —
 /// so pending lists are repeatedly invalidated both by commits and by
 /// evictions while other blocks' lists stay clean and skippable.
-fn run_engine(block_steps: &[Vec<u64>], retry: RetryMode) -> EngineOutput {
+fn run_engine(block_steps: &[Vec<u64>], decode: fn(u64) -> u64, retry: RetryMode) -> EngineOutput {
     let cfg = GpuConfig {
         num_utlbs: 2,
         max_outstanding_per_utlb: 6,
@@ -65,7 +77,7 @@ fn run_engine(block_steps: &[Vec<u64>], retry: RetryMode) -> EngineOutput {
     };
     let mut space = ManagedSpace::new();
     space.alloc(BLOCKS * VABLOCK_SIZE, "retry-equiv");
-    let mut eng = GpuEngine::launch(cfg, build_trace(block_steps), SimRng::from_seed(9));
+    let mut eng = GpuEngine::launch(cfg, build_trace(block_steps, decode), SimRng::from_seed(9));
     let mut buf = FaultBuffer::new(FaultBufferConfig::default());
     let far = SimTime::ZERO + SimDuration::from_secs(1);
     let mut streams = Vec::new();
@@ -102,21 +114,48 @@ fn run_engine(block_steps: &[Vec<u64>], retry: RetryMode) -> EngineOutput {
     (streams, *eng.counters(), residency)
 }
 
+/// Run one trace under all three modes and compare everything but the
+/// skip/wakeup telemetry.
+fn assert_modes_agree(
+    block_steps: &[Vec<u64>],
+    decode: fn(u64) -> u64,
+) -> Result<(), TestCaseError> {
+    let scan = run_engine(block_steps, decode, RetryMode::Scan);
+    let event = run_engine(block_steps, decode, RetryMode::Event);
+    let check = run_engine(block_steps, decode, RetryMode::CrossCheck);
+    prop_assert_eq!(scan.1.retries_skipped, 0, "scan mode must never skip");
+    prop_assert_eq!(&event.0, &scan.0, "fault streams diverged (event vs scan)");
+    prop_assert_eq!(
+        &check.0,
+        &scan.0,
+        "fault streams diverged (cross-check vs scan)"
+    );
+    prop_assert_eq!(
+        event.1.semantic(),
+        scan.1.semantic(),
+        "semantic counters diverged"
+    );
+    prop_assert_eq!(
+        check.1.semantic(),
+        scan.1.semantic(),
+        "semantic counters diverged"
+    );
+    prop_assert_eq!(&event.2, &scan.2, "final residency diverged");
+    prop_assert_eq!(&check.2, &scan.2, "final residency diverged");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn engine_retry_equiv(block_steps in arb_blocks()) {
-        let scan = run_engine(&block_steps, RetryMode::Scan);
-        let event = run_engine(&block_steps, RetryMode::Event);
-        let check = run_engine(&block_steps, RetryMode::CrossCheck);
-        prop_assert_eq!(scan.1.retries_skipped, 0, "scan mode must never skip");
-        prop_assert_eq!(&event.0, &scan.0, "fault streams diverged (event vs scan)");
-        prop_assert_eq!(&check.0, &scan.0, "fault streams diverged (cross-check vs scan)");
-        prop_assert_eq!(event.1.semantic(), scan.1.semantic(), "semantic counters diverged");
-        prop_assert_eq!(check.1.semantic(), scan.1.semantic(), "semantic counters diverged");
-        prop_assert_eq!(&event.2, &scan.2, "final residency diverged");
-        prop_assert_eq!(&check.2, &scan.2, "final residency diverged");
+        assert_modes_agree(&block_steps, decode)?;
+    }
+
+    #[test]
+    fn engine_retry_equiv_shared_words(block_steps in arb_many_blocks()) {
+        assert_modes_agree(&block_steps, decode_shared)?;
     }
 }
 
