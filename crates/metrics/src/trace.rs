@@ -19,6 +19,17 @@ pub enum EventKind {
     Eviction,
 }
 
+impl EventKind {
+    /// Label used in the trace CSV and as the Chrome-trace instant name.
+    pub fn label(self) -> &'static str {
+        match self {
+            EventKind::Fault => "fault",
+            EventKind::Prefetch => "prefetch",
+            EventKind::Eviction => "eviction",
+        }
+    }
+}
+
 /// One trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
@@ -130,17 +141,12 @@ impl TraceRecorder {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("order,page,time_ns,kind\n");
         for e in &self.events {
-            let kind = match e.kind {
-                EventKind::Fault => "fault",
-                EventKind::Prefetch => "prefetch",
-                EventKind::Eviction => "eviction",
-            };
             out.push_str(&format!(
                 "{},{},{},{}\n",
                 e.order,
                 e.page,
                 e.time.as_nanos(),
-                kind
+                e.kind.label()
             ));
         }
         out
